@@ -46,7 +46,8 @@ def test_parallel_speedup(benchmark):
     config = TestbedConfig(duration=2 * DAY, seed=4099)
 
     def fan_out():
-        return Runner(jobs=2).run(HOSTS, config)
+        with Runner(jobs=2) as runner:
+            return runner.run(HOSTS, config)
 
     start = time.perf_counter()
     parallel = run_once(benchmark, fan_out)
@@ -67,7 +68,8 @@ def test_parallel_speedup(benchmark):
 def test_parallel_matches_serial_on_one_cpu(benchmark):
     """The identity contract holds even where the speedup bench skips."""
     config = TestbedConfig(duration=3 * 3600.0, seed=4099)
-    parallel = run_once(benchmark, lambda: Runner(jobs=2).run(HOSTS, config))
+    with Runner(jobs=2) as runner:
+        parallel = run_once(benchmark, runner.run, HOSTS, config)
     serial = Runner(jobs=1).run(HOSTS, config)
     _identical(serial, parallel)
 

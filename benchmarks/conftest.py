@@ -47,9 +47,12 @@ def run_once(benchmark, fn, *args, **kwargs):
 
     Also persists the measured wall time as a ``BENCH_<name>.json`` run
     record (best-effort: an unwritable artifacts directory must not fail
-    the benchmark itself).
+    the benchmark itself).  Under ``--benchmark-disable`` nothing is
+    timed, so no record is written.
     """
     result = benchmark.pedantic(fn, args=args, kwargs=kwargs, rounds=1, iterations=1)
+    if benchmark.stats is None:
+        return result
     try:
         record(
             _record_name(benchmark.name),

@@ -523,8 +523,8 @@ def _cmd_run(args) -> int:
         test_duration=args.test_duration,
         sim_engine=args.sim_engine,
     )
-    runner = _make_runner(args)
-    runs = runner.run(hosts, config)
+    with _make_runner(args) as runner:
+        runs = runner.run(hosts, config)
     print(f"{'host':12s} {'samples':>8s} {'tests':>6s} " + " ".join(f"{m:>12s}" for m in METHODS))
     for run in runs:
         means = " ".join(f"{run.values(m).mean():12.3f}" for m in METHODS)
@@ -542,11 +542,11 @@ def _cmd_tables(args) -> int:
     config = TestbedConfig(
         duration=args.hours * 3600.0, seed=args.seed, sim_engine=args.sim_engine
     )
-    runner = _make_runner(args)
-    for n in wanted:
-        table = generators[n](runner, config, engine=args.engine)
-        print(table.render(with_paper=args.with_paper))
-        print()
+    with _make_runner(args) as runner:
+        for n in wanted:
+            table = generators[n](runner, config, engine=args.engine)
+            print(table.render(with_paper=args.with_paper))
+            print()
     _print_runner_stats(runner)
     return 0
 
@@ -557,15 +557,15 @@ def _cmd_figures(args) -> int:
 
     generators = {1: figure1, 2: figure2, 3: figure3, 4: figure4}
     wanted = [args.figure] if args.figure else sorted(generators)
-    runner = _make_runner(args)
-    for n in wanted:
-        figure = generators[n](runner, seed=args.seed, sim_engine=args.sim_engine)
-        print(figure.render())
-        print()
-        if args.out:
-            paths = export_figure_csv(figure, args.out)
-            for path in paths:
-                print(f"wrote {path}")
+    with _make_runner(args) as runner:
+        for n in wanted:
+            figure = generators[n](runner, seed=args.seed, sim_engine=args.sim_engine)
+            print(figure.render())
+            print()
+            if args.out:
+                paths = export_figure_csv(figure, args.out)
+                for path in paths:
+                    print(f"wrote {path}")
     _print_runner_stats(runner)
     return 0
 
@@ -693,6 +693,7 @@ def _cmd_report(args) -> int:
         figure2,
         figure3,
         figure4,
+        report_requests,
         table1,
         table2,
         table3,
@@ -708,33 +709,34 @@ def _cmd_report(args) -> int:
     config = TestbedConfig(
         duration=args.hours * 3600.0, seed=args.seed, sim_engine=args.sim_engine
     )
-    runner = _make_runner(args)
+    figure3_config = config.derive(duration=args.figure3_days * 86400.0)
 
     summary_lines = []
-    for n, fn in enumerate(
-        (table1, table2, table3, table4, table5, table6), start=1
-    ):
-        table = fn(runner, config, engine=args.engine)
-        export_table_csv(table, out / f"table{n}.csv")
-        text = table.render(with_paper=True)
-        (out / f"table{n}.txt").write_text(text + "\n")
-        summary_lines.append(text)
-        print(f"wrote table{n}.csv / table{n}.txt")
+    with _make_runner(args) as runner:
+        # Start every simulation the report needs before the first table,
+        # so the workers simulate while this process runs backtests.
+        runner.prefetch(
+            report_requests(config, figure3_duration=figure3_config.duration)
+        )
+        for n, fn in enumerate(
+            (table1, table2, table3, table4, table5, table6), start=1
+        ):
+            table = fn(runner, config, engine=args.engine)
+            export_table_csv(table, out / f"table{n}.csv")
+            text = table.render(with_paper=True)
+            (out / f"table{n}.txt").write_text(text + "\n")
+            summary_lines.append(text)
+            print(f"wrote table{n}.csv / table{n}.txt")
 
-    figure_configs = {
-        1: config,
-        2: config,
-        3: config.derive(duration=args.figure3_days * 86400.0),
-        4: config,
-    }
-    for n, fn in ((1, figure1), (2, figure2), (3, figure3), (4, figure4)):
-        figure = fn(runner, figure_configs[n])
-        for path in export_figure_csv(figure, out):
-            print(f"wrote {path.name}")
-        (out / f"figure{n}.txt").write_text(figure.render() + "\n")
-        summary_lines.append(f"{figure.figure_id}: {figure.title}")
-        if figure.notes:
-            summary_lines.append(f"  notes: {figure.notes}")
+        figure_configs = {1: config, 2: config, 3: figure3_config, 4: config}
+        for n, fn in ((1, figure1), (2, figure2), (3, figure3), (4, figure4)):
+            figure = fn(runner, figure_configs[n])
+            for path in export_figure_csv(figure, out):
+                print(f"wrote {path.name}")
+            (out / f"figure{n}.txt").write_text(figure.render() + "\n")
+            summary_lines.append(f"{figure.figure_id}: {figure.title}")
+            if figure.notes:
+                summary_lines.append(f"  notes: {figure.notes}")
 
     (out / "REPORT.txt").write_text("\n\n".join(summary_lines) + "\n")
     print(f"wrote REPORT.txt -- all artifacts in {out}/")
@@ -787,7 +789,8 @@ def _cmd_profile(args) -> int:
         # replaying telemetry, and the profiler needs the spans.
         tracer = Tracer(clock=lambda: 0.0)
         with installed(registry), traced(tracer):
-            Runner(jobs=args.jobs).run(hosts, config)
+            with Runner(jobs=args.jobs) as runner:
+                runner.run(hosts, config)
     profile = profile_spans(tracer.spans)
     if args.output_format == "folded":
         print(render_folded(profile), end="")

@@ -8,6 +8,9 @@
 * :mod:`repro.experiments.figures` -- ``figure1()`` .. ``figure4()``.
 * :mod:`repro.experiments.results` -- result containers with formatting.
 * :mod:`repro.experiments.smp` -- the SMP extension study and sweep.
+* :mod:`repro.experiments.plan` -- :func:`report_requests`, every
+  ``(hosts, config)`` run the tables and figures consume, for
+  :meth:`repro.runner.Runner.prefetch`.
 * :mod:`repro.experiments.chaos` -- fault-plan replays of the testbed
   against a fault-free baseline (``nws-repro chaos``).
 
@@ -25,6 +28,7 @@ from repro.experiments.chaos import ChaosReport, HostChaos, run_chaos
 from repro.experiments.results import FigureResult, TableResult
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
 from repro.experiments.figures import figure1, figure2, figure3, figure4
+from repro.experiments.plan import report_requests
 from repro.experiments.smp import SmpResult, smp_study, smp_sweep
 from repro.experiments.testbed import (
     HostRun,
@@ -49,6 +53,7 @@ __all__ = [
     "figure2",
     "figure3",
     "figure4",
+    "report_requests",
     "run_chaos",
     "run_host",
     "simulate_host",

@@ -30,7 +30,6 @@ import numpy as np
 from repro.faults.plan import FaultPlan
 from repro.nws.errors import SeriesUnavailable
 from repro.nws.system import NWSSystem
-from repro.runner.engine import parallel_map
 from repro.workload.profiles import profile_names
 
 __all__ = ["HostChaos", "ChaosReport", "run_chaos"]
@@ -231,6 +230,10 @@ def run_chaos(
     """
     if duration < step:
         raise ValueError("duration must be >= step")
+    # Imported here: repro.runner imports repro.experiments.testbed, whose
+    # package import pulls in this module.
+    from repro.runner import parallel_map
+
     names = list(profiles) if profiles is not None else profile_names()
     worker = functools.partial(
         _chaos_host,

@@ -20,6 +20,7 @@ from repro.analysis.acf import acf
 from repro.analysis.aggregate import aggregate_series
 from repro.analysis.rs import pox_plot_data
 from repro.experiments.results import FigureResult
+from repro.experiments.tables import medium
 from repro.experiments.testbed import DAY, TestbedConfig
 
 __all__ = ["figure1", "figure2", "figure3", "figure4"]
@@ -160,7 +161,7 @@ def figure4(
     process is visible, exactly as the paper remarks.
     """
     runner, config = _resolve(runner, config, seed=seed, duration=duration, sim_engine=sim_engine)
-    config = config.derive(test_period=3600.0, test_duration=300.0)
+    config = medium(config)
     panels = {}
     for run in runner.run(FIGURE_HOSTS, config):
         series = run.series["load_average"]

@@ -28,7 +28,9 @@ from repro.experiments.testbed import DAY, HostRun, TestbedConfig
 from repro.sensors.suite import METHODS
 from repro.workload.profiles import profile_names
 
-__all__ = ["table1", "table2", "table3", "table4", "table5", "table6", "METHOD_LABELS"]
+__all__ = [
+    "table1", "table2", "table3", "table4", "table5", "table6", "METHOD_LABELS", "medium",
+]
 
 #: Pretty column labels in the paper's order.
 METHOD_LABELS = {
@@ -111,8 +113,8 @@ def _resolve(runner, config, *, seed: int, duration: float):
     return runner, config
 
 
-def _medium(config: TestbedConfig) -> TestbedConfig:
-    """Table 6 setup derived from a base config: 5-minute test, hourly."""
+def medium(config: TestbedConfig) -> TestbedConfig:
+    """Table 6 / Figure 4 setup derived from a base config: 5-minute test, hourly."""
     return config.derive(test_period=3600.0, test_duration=300.0)
 
 
@@ -357,7 +359,7 @@ def table6(
     the *base* setup; the medium-term variant is derived from it.
     """
     runner, config = _resolve(runner, config, seed=seed, duration=duration)
-    config = _medium(config)
+    config = medium(config)
     rows = []
     for run in runner.run(None, config):
         row = [run.host]

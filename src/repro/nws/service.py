@@ -165,6 +165,8 @@ class TenantState:
         # incremental per-series state does not -- concurrent HTTP queries
         # for one tenant serialize here.
         self.lock = threading.Lock()
+        # Serializes registration snapshots (see _persist_registrations).
+        self.registrations_lock = threading.Lock()
 
     @classmethod
     def adopt(cls, name, memory, forecaster, nameserver) -> "TenantState":
@@ -175,6 +177,7 @@ class TenantState:
         state.forecaster = forecaster
         state.nameserver = nameserver
         state.lock = threading.Lock()
+        state.registrations_lock = threading.Lock()
         return state
 
 
@@ -373,21 +376,25 @@ class ServiceCore:
     def _persist_registrations(self, state: TenantState) -> None:
         if self.directory is None:
             return
-        entries = [
-            {
-                "name": e.name,
-                "kind": e.kind,
-                "attributes": dict(sorted(e.attributes.items())),
-                "expires_at": (
-                    None if e.expires_at == float("inf") else e.expires_at
-                ),
-            }
-            for e in state.nameserver.entries()
-        ]
-        atomic_replace_json(
-            self.directory / state.name / REGISTRATIONS_NAME,
-            {"version": 1, "registrations": entries},
-        )
+        # Snapshot and write under one lock: concurrent calls would
+        # otherwise share the temp file, and an older snapshot could land
+        # last.
+        with state.registrations_lock:
+            entries = [
+                {
+                    "name": e.name,
+                    "kind": e.kind,
+                    "attributes": dict(sorted(e.attributes.items())),
+                    "expires_at": (
+                        None if e.expires_at == float("inf") else e.expires_at
+                    ),
+                }
+                for e in state.nameserver.entries()
+            ]
+            atomic_replace_json(
+                self.directory / state.name / REGISTRATIONS_NAME,
+                {"version": 1, "registrations": entries},
+            )
 
     def _init_obs(self) -> None:
         registry = get_registry()

@@ -211,7 +211,8 @@ Runner (``repro.runner``):
   snapshots dropped because they failed merge validation.
 * ``repro_runner_jobs`` (gauge) -- worker processes in the last run.
 * ``repro_runner_worker_utilization`` (gauge) -- busy fraction of the
-  pool (wall-clock; excluded from the deterministic view).
+  runner's pool since it started (wall-clock; excluded from the
+  deterministic view).
 * ``repro_runner_host_seconds`` (histogram; label ``host``) -- wall time
   simulating each host, observed worker-side and merged into the
   parent registry (wall-clock; excluded from the deterministic view).

@@ -4,14 +4,17 @@ The one public entry point for monitored testbed simulations::
 
     from repro.runner import Runner
 
-    runner = Runner(jobs=4, cache="artifacts/cache")
-    runs = runner.run(None, config)          # full testbed, table order
-    thing1 = runner.run("thing1", config)    # one host
+    with Runner(jobs=4, cache="artifacts/cache") as runner:
+        runner.prefetch([(None, config)])    # submit every miss, no wait
+        runs = runner.run(None, config)      # full testbed, table order
+        thing1 = runner.run("thing1", config)    # one host
 
-* :class:`Runner` -- fans cache misses out over worker processes
-  (results are byte-identical to serial runs: per-host seeds are derived
-  inside the simulation) and persists results across interpreter
-  restarts through :class:`ResultCache`.
+* :class:`Runner` -- fans cache misses out over one worker pool that
+  lives as long as the runner (results are byte-identical to serial
+  runs: per-host seeds are derived inside the simulation),
+  :meth:`~Runner.prefetch` submits a whole plan up front, longest
+  simulation first, and results persist across interpreter restarts
+  through :class:`ResultCache`.
 * :class:`ResultCache` -- the on-disk half: atomic writes,
   corrupt-entry detection, ``clear()``.
 * :func:`config_digest` -- the stable content address:

@@ -9,37 +9,53 @@ layers three result stores in front of the simulator:
 3. :func:`~repro.experiments.testbed.simulate_host`, fanned out across
    worker processes when ``jobs > 1``.
 
+A runner with ``jobs > 1`` owns one worker pool for its whole lifetime,
+started on its first cache miss and shut down by :meth:`Runner.close`
+(or on leaving its ``with`` block).  :meth:`Runner.prefetch` submits
+every miss of a list of ``(hosts, config)`` requests up front, longest
+``config.duration`` first, without waiting; a later :meth:`Runner.run`
+collects those futures instead of starting a batch of its own.  A caller
+that knows its whole plan -- ``nws-repro report`` -- thereby keeps every
+worker busy while the main process works on the results already in.
+With ``jobs=1`` there is no pool: the same submit/collect path simulates
+in-process, when :meth:`Runner.run` collects.
+
 Results are byte-identical regardless of ``jobs`` because every host's
 seed is derived from ``(config.seed, host index)`` inside the simulation
 itself -- workers share nothing and inherit no RNG state.  Every lookup
 and simulation is tallied both on :attr:`Runner.stats` (plain ints, for
 programmatic checks) and on the installed metrics registry
-(``repro_runner_*`` series) so cache behaviour is observable.
+(``repro_runner_*`` series) so cache behaviour is observable.  A lookup
+is counted once, where it happens: :meth:`~Runner.prefetch` counts the
+runs it looks up, and the :meth:`~Runner.run` that consumes one counts
+nothing more.
 
 Worker telemetry survives the pool boundary: each simulation runs under
 a scoped registry and sim-clock tracer (:func:`_simulate_one`), and the
 parent merges the returned snapshots (counters add, gauges
 last-writer-by-sim-time, histograms bucket-wise) and imports the span
-batches in submission order.  The merged registry and trace of a
-``jobs=N`` run are therefore byte-identical to ``jobs=1`` -- modulo the
-wall-clock families listed in :data:`repro.obs.metrics.WALL_METRICS` --
-and a snapshot that cannot merge is dropped and counted in
-``repro_runner_snapshot_errors_total`` instead of failing the batch.
-Cache hits (memory or disk) return stored results and do not replay
-telemetry.
+batches in each :meth:`~Runner.run` call's submission order.  The merged
+registry and trace of a ``jobs=N`` run are therefore byte-identical to
+``jobs=1`` -- modulo the wall-clock families listed in
+:data:`repro.obs.metrics.WALL_METRICS` -- and a snapshot that cannot
+merge is dropped and counted in ``repro_runner_snapshot_errors_total``
+instead of failing the batch.  Cache hits (memory or disk) return stored
+results and do not replay telemetry.
 
 Worker failures do not take the batch down: a host whose worker raised --
 or whose pool broke entirely (``BrokenProcessPool``, e.g. an OOM-killed
 child) -- is re-simulated in-process under a bounded
 :class:`~repro.faults.policy.RetryPolicy`; only when the retries are
 exhausted does :class:`HostSimulationError` surface, naming the host
-instead of an opaque pool traceback.
+instead of an opaque pool traceback.  A broken pool is replaced at the
+next submit.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, TypeVar
@@ -175,6 +191,33 @@ def parallel_map(
         return list(pool.map(fn, work))
 
 
+def _host_names(hosts: str | Iterable[str] | None) -> list[str]:
+    """Resolve :meth:`Runner.run`'s ``hosts`` argument to a list of names."""
+    if isinstance(hosts, str):
+        return [hosts]
+    if hosts is None:
+        return profile_names()
+    return [str(name) for name in hosts]
+
+
+@dataclass
+class _Job:
+    """One submitted simulation.
+
+    ``future`` is the pool's future, or None with ``jobs=1``: the host is
+    then simulated in-process when :meth:`Runner.run` collects the job.
+    """
+
+    name: str
+    config: TestbedConfig
+    future: Future | None = None
+
+    def result(self) -> tuple[HostRun, dict, list, float]:
+        if self.future is None:
+            return _simulate_one(self.name, self.config)
+        return self.future.result()
+
+
 class Runner:
     """Unified facade over memoization, the disk cache, and simulation.
 
@@ -186,6 +229,10 @@ class Runner:
     cache:
         On-disk cache: a :class:`ResultCache`, a directory path, or None
         to keep results in memory only.
+
+    With ``jobs > 1`` the runner owns a worker pool from its first miss
+    until :meth:`close`; use it as a context manager so the workers stop
+    with it.
     """
 
     def __init__(
@@ -203,6 +250,12 @@ class Runner:
             self.cache = ResultCache(cache)
         self.stats = RunnerStats()
         self._memo: dict[str, HostRun] = {}
+        # Prefetched runs that no run() has consumed yet: a disk hit's
+        # result, or the job simulating a miss.
+        self._prefetched: dict[str, HostRun | _Job] = {}
+        self._pool: ProcessPoolExecutor | None = None
+        self._pool_started = 0.0
+        self._pool_busy = 0.0
         registry = get_registry()
         self._obs_hits = {
             layer: registry.counter("repro_runner_cache_hits_total", layer=layer)
@@ -228,7 +281,54 @@ class Runner:
             retries=MAX_HOST_RETRIES, base_delay=0.0, jitter=0.0, sleep=None
         )
 
+    def __enter__(self) -> "Runner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the worker pool down and drop unconsumed prefetches.
+
+        Queued simulations are cancelled and running ones finish first, so
+        no worker process outlives the call.  Idempotent; a closed runner
+        starts a new pool if it is used again.
+        """
+        self._prefetched.clear()
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
     # ------------------------------------------------------------ running
+
+    def prefetch(
+        self,
+        requests: Iterable[tuple[str | Iterable[str] | None, TestbedConfig]],
+    ) -> None:
+        """Start every simulation ``requests`` will need, without waiting.
+
+        ``requests`` holds ``(hosts, config)`` pairs, ``hosts`` in any form
+        :meth:`run` accepts.  Each run is looked up in memory and on disk,
+        and every miss is submitted: longest ``config.duration`` first,
+        ties in request order, so the slowest simulation never starts
+        last.  A later :meth:`run` over those hosts and config collects
+        the results.  Disk hits and misses are counted here, once; the
+        :meth:`run` that consumes them counts nothing more.
+        """
+        misses: dict[str, tuple[str, TestbedConfig]] = {}
+        for hosts, config in requests:
+            for name in _host_names(hosts):
+                digest = config_digest(name, config)
+                if digest in misses or digest in self._prefetched or digest in self._memo:
+                    continue
+                run = self._load(digest)
+                if run is not None:
+                    self._prefetched[digest] = run
+                else:
+                    self._count_miss()
+                    misses[digest] = (name, config)
+        for digest in sorted(misses, key=lambda d: -misses[d][1].duration):
+            self._prefetched[digest] = self._submit(*misses[digest])
 
     def run(
         self,
@@ -247,41 +347,33 @@ class Runner:
             Run configuration; default :class:`TestbedConfig`.
         """
         config = config if config is not None else TestbedConfig()
-        single = isinstance(hosts, str)
-        if single:
-            names = [hosts]
-        elif hosts is None:
-            names = profile_names()
-        else:
-            names = [str(name) for name in hosts]
-
+        names = _host_names(hosts)
         results: dict[int, HostRun] = {}
-        pending: dict[str, list[int]] = {}  # digest -> indices wanting it
-        pending_names: dict[str, str] = {}
+        jobs: dict[str, _Job] = {}  # digest -> job, in submission order
+        wanting: dict[str, list[int]] = {}  # digest -> indices wanting it
         for i, name in enumerate(names):
             digest = config_digest(name, config)
-            if digest in pending:
-                pending[digest].append(i)
+            if digest in jobs:
+                wanting[digest].append(i)
                 continue
-            run = self._lookup(digest)
-            if run is not None:
-                results[i] = run
+            held = self._prefetched.pop(digest, None)
+            if held is None:
+                held = self._lookup(digest)
+            if held is None:
+                self._count_miss()
+                held = self._submit(name, config)
+            if isinstance(held, HostRun):
+                results[i] = held
             else:
-                self.stats.misses += 1
-                self._obs_misses.inc()
-                pending[digest] = [i]
-                pending_names[digest] = name
+                jobs[digest] = held
+                wanting[digest] = [i]
 
-        if pending:
-            for digest, run in self._simulate(pending_names, config).items():
-                self._memo[digest] = run
-                if self.cache is not None:
-                    self.cache.store(digest, run)
-                for i in pending[digest]:
-                    results[i] = run
+        for digest, run in self._collect(jobs, config).items():
+            for i in wanting[digest]:
+                results[i] = run
 
         ordered = [results[i] for i in range(len(names))]
-        return ordered[0] if single else ordered
+        return ordered[0] if isinstance(hosts, str) else ordered
 
     def run_one(self, host: str, config: TestbedConfig | None = None) -> HostRun:
         """Convenience: :meth:`run` for exactly one host."""
@@ -297,6 +389,10 @@ class Runner:
             self.stats.memory_hits += 1
             self._obs_hits["memory"].inc()
             return run
+        return self._load(digest)
+
+    def _load(self, digest: str) -> HostRun | None:
+        """The on-disk half of :meth:`_lookup`; memoizes a hit."""
         if self.cache is None:
             return None
         run, outcome = self.cache.lookup(digest)
@@ -309,62 +405,52 @@ class Runner:
             self._memo[digest] = run
         return run
 
-    def _simulate(
-        self, jobs_by_digest: dict[str, str], config: TestbedConfig
-    ) -> dict[str, HostRun]:
-        """Simulate every ``digest -> host`` pair, in-process or pooled."""
-        digests = list(jobs_by_digest)
-        workers = min(self.jobs, len(digests))
-        use_pool = workers > 1
-        batch_start = time.perf_counter()
+    def _count_miss(self) -> None:
+        self.stats.misses += 1
+        self._obs_misses.inc()
+
+    def _submit(self, name: str, config: TestbedConfig) -> _Job:
+        """Start simulating ``name``: in the pool, or later in-process."""
+        if self.jobs == 1:
+            return _Job(name, config)
+        try:
+            future = self._executor().submit(_simulate_one, name, config)
+        except BrokenProcessPool:
+            # A worker died since the last submit.  Replace the pool; the
+            # jobs already given to the old one fail on collection and are
+            # retried in-process.
+            self._pool.shutdown()
+            self._pool = None
+            future = self._executor().submit(_simulate_one, name, config)
+        return _Job(name, config, future)
+
+    def _executor(self) -> ProcessPoolExecutor:
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=self.jobs)
+            self._pool_started = time.perf_counter()
+            self._pool_busy = 0.0
+        return self._pool
+
+    def _collect(self, jobs: dict[str, _Job], config: TestbedConfig) -> dict[str, HostRun]:
+        """Wait for each job in submission order; memoize and store it."""
         out: dict[str, HostRun] = {}
         telemetry: dict[str, tuple[dict, list]] = {}
-        if use_pool:
-            failed: dict[str, BaseException] = {}
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_simulate_one, jobs_by_digest[d], config): d
-                    for d in digests
-                }
-                remaining = set(futures)
-                while remaining:
-                    done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        digest = futures[future]
-                        try:
-                            run, snapshot, spans, wall = future.result()
-                        except Exception as exc:
-                            # Worker raised, or the pool broke under it
-                            # (BrokenProcessPool): note it, retry in-process
-                            # once the pool is drained.
-                            failed[digest] = exc
-                        else:
-                            self._record_sim(
-                                jobs_by_digest[digest], wall, "parallel"
-                            )
-                            out[digest] = run
-                            telemetry[digest] = (snapshot, spans)
-            for digest in sorted(failed):
-                name = jobs_by_digest[digest]
-                run, snapshot, spans, wall = self._retry_host(name, config)
-                self._record_sim(name, wall, "serial")
-                out[digest] = run
-                telemetry[digest] = (snapshot, spans)
-        else:
-            for digest in digests:
-                name = jobs_by_digest[digest]
-                try:
-                    run, snapshot, spans, wall = _simulate_one(name, config)
-                except Exception:
-                    run, snapshot, spans, wall = self._retry_host(name, config)
-                self._record_sim(name, wall, "serial")
-                out[digest] = run
-                telemetry[digest] = (snapshot, spans)
-        batch_wall = time.perf_counter() - batch_start
-        if use_pool and batch_wall > 0.0:
-            busy = sum(self.stats.host_seconds[jobs_by_digest[d]] for d in digests)
-            self._obs_utilization.set(min(1.0, busy / (batch_wall * workers)))
-        self._absorb_telemetry(digests, telemetry, config)
+        for digest, job in jobs.items():
+            mode = "serial" if job.future is None else "parallel"
+            try:
+                run, snapshot, spans, wall = job.result()
+            except Exception:
+                # Worker raised, or the pool broke under it
+                # (BrokenProcessPool): retry in-process.
+                run, snapshot, spans, wall = self._retry_host(job.name, config)
+                mode = "serial"
+            self._record_sim(job.name, wall, mode)
+            self._memo[digest] = run
+            if self.cache is not None:
+                self.cache.store(digest, run)
+            out[digest] = run
+            telemetry[digest] = (snapshot, spans)
+        self._absorb_telemetry(list(jobs), telemetry, config)
         return out
 
     def _absorb_telemetry(
@@ -434,6 +520,14 @@ class Runner:
         self.stats.sim_seconds += wall
         self.stats.host_seconds[host] = wall
         self._obs_sims[mode].inc()
+        if mode == "parallel":
+            # Busy fraction of the pool since it started.
+            self._pool_busy += wall
+            elapsed = time.perf_counter() - self._pool_started
+            if elapsed > 0.0:
+                self._obs_utilization.set(
+                    min(1.0, self._pool_busy / (elapsed * self.jobs))
+                )
 
     # ------------------------------------------------------------ hygiene
 

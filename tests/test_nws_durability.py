@@ -11,6 +11,7 @@ drain-on-shutdown, request deadlines, and the unclean-shutdown counter.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 import urllib.error
@@ -518,3 +519,60 @@ class TestHTTPClientAcrossRestart:
         finally:
             client.close()
             restored.stop()
+
+
+class TestRegistrationSnapshots:
+    def test_concurrent_register_and_refresh_persist_the_latest(self, tmp_path):
+        core = ServiceCore(("default",), directory=tmp_path)
+        names = [f"sensor.{i}" for i in range(4)]
+        for name in names:
+            core.register("default", name, "sensor", {"host": name}, ttl=10.0)
+        barrier = threading.Barrier(2 * len(names))
+        errors: list[BaseException] = []
+
+        def hammer(call) -> None:
+            barrier.wait()
+            try:
+                for round_ in range(10):
+                    call(round_)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        calls = []
+        for i, name in enumerate(names):
+            calls.append(
+                lambda r, i=i: core.register(
+                    "default", f"memory.{i}.{r}", "memory", {"round": str(r)}
+                )
+            )
+            calls.append(
+                lambda r, name=name: core.refresh("default", name, ttl=100.0 + r)
+            )
+        threads = [threading.Thread(target=hammer, args=(c,)) for c in calls]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        on_disk = json.loads(
+            (tmp_path / "default" / "registrations.json").read_text()
+        )["registrations"]
+        entries = core.tenant("default").nameserver.entries()
+        assert len(entries) == len(names) * 11
+        assert on_disk == [
+            {
+                "name": e.name,
+                "kind": e.kind,
+                "attributes": dict(e.attributes),
+                "expires_at": None if e.expires_at == float("inf") else e.expires_at,
+            }
+            for e in entries
+        ]
+        core.close()

@@ -35,12 +35,40 @@ def _run_with_scoped_sinks(jobs: int):
     parallel: ``mode=...`` labels) bind to the null registry; only the
     merged worker telemetry lands in the scoped sinks.
     """
-    runner = Runner(jobs=jobs)
     registry = MetricsRegistry()
     tracer = Tracer(clock=lambda: 0.0)
-    with installed(registry), traced(tracer):
+    with Runner(jobs=jobs) as runner, installed(registry), traced(tracer):
         runner.run(HOSTS, TINY)
     return registry, tracer
+
+
+#: A second config for multi-config prefetches.
+LONGER = TINY.derive(duration=2100.0)
+
+
+def _prefetched_run_with_scoped_sinks(jobs: int):
+    """Prefetch two configs up front, then consume them in two runs.
+
+    Returns (merged registry, tracer, runner stats).
+    """
+    registry = MetricsRegistry()
+    tracer = Tracer(clock=lambda: 0.0)
+    with Runner(jobs=jobs) as runner, installed(registry), traced(tracer):
+        runner.prefetch([(HOSTS, TINY), (HOSTS[:2], LONGER)])
+        runner.run(HOSTS, TINY)
+        runner.run(HOSTS[:2], LONGER)
+    return registry, tracer, runner.stats
+
+
+def _plain_run_with_scoped_sinks():
+    """The same two runs serially, with no prefetch."""
+    registry = MetricsRegistry()
+    tracer = Tracer(clock=lambda: 0.0)
+    runner = Runner(jobs=1)
+    with installed(registry), traced(tracer):
+        runner.run(HOSTS, TINY)
+        runner.run(HOSTS[:2], LONGER)
+    return registry, tracer, runner.stats
 
 
 class TestParallelSerialParity:
@@ -77,6 +105,33 @@ class TestParallelSerialParity:
         assert not WALL_METRICS & set(view)
         # The view drops only wall families, nothing else.
         assert set(snapshot) - set(view) <= WALL_METRICS
+
+
+class TestPrefetchParity:
+    """Prefetching across configs changes nothing observable."""
+
+    @pytest.fixture(scope="class")
+    def plain(self):
+        return _plain_run_with_scoped_sinks()
+
+    @pytest.fixture(scope="class")
+    def prefetched(self):
+        return _prefetched_run_with_scoped_sinks(jobs=2)
+
+    def test_registry_bytes_identical(self, plain, prefetched):
+        assert render_prometheus(
+            deterministic_view(plain[0])
+        ) == render_prometheus(deterministic_view(prefetched[0]))
+
+    def test_spans_identical(self, plain, prefetched):
+        assert plain[1].spans == prefetched[1].spans
+
+    def test_stats_identical(self, plain, prefetched):
+        fields = ("memory_hits", "disk_hits", "misses", "corrupt", "retries", "snapshot_errors")
+        assert [getattr(plain[2], f) for f in fields] == [
+            getattr(prefetched[2], f) for f in fields
+        ]
+        assert prefetched[2].misses == len(HOSTS) + 2
 
 
 class TestHostSecondsHistogram:
