@@ -141,6 +141,12 @@ class HostRun:
         each of the three measurement methods.
     observations:
         Ground-truth test-process observations (post-warmup).
+
+    A run also carries a private memo of read-only one-step-ahead
+    forecast arrays of its raw series, keyed by ``(method, engine)``,
+    which the tables fill so that each series is backtested once per run.
+    It is derived data: not an ``__init__`` argument, not part of
+    equality and not written to the on-disk cache.
     """
 
     host: str
@@ -148,6 +154,9 @@ class HostRun:
     series: dict[str, TraceSeries]
     observations: list[TestObservation]
     _frozen: bool = field(default=True, repr=False)
+    _backtests: dict[tuple[str, str], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def premeasurements(self, method: str) -> np.ndarray:
         """Sensor readings taken immediately before each test process."""

@@ -5,12 +5,17 @@ The benchmark suite regenerates the full 24-hour tables; here we assert the
 *shape* invariants from DESIGN.md hold even on the shorter, cheaper run.
 """
 
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
+import repro.experiments.tables as tables
 from repro.experiments.tables import table1, table2, table3, table4, table5, table6
+from repro.runner import ResultCache, Runner, config_digest, default_runner
+from repro.runner.cache import _encode
+from repro.sensors.suite import METHODS
 from repro.workload.profiles import profile_names
 
 from tests.conftest import SHORT, SHORT_MEDIUM
@@ -173,3 +178,85 @@ class TestTable6:
 
     def test_conundrum_hybrid_good_medium_term(self, t6):
         assert cell_percent(t6, "conundrum", "NWS Hybrid") < 12.0
+
+
+class TestRawBacktestMemo:
+    """Tables 2, 3 and 5 share one backtest of each raw series per run."""
+
+    @pytest.fixture(scope="class")
+    def cache_dir(self, tmp_path_factory):
+        """The SHORT testbed on disk: each runner over it decodes fresh runs."""
+        root = tmp_path_factory.mktemp("memo-cache")
+        cache = ResultCache(root)
+        for run in default_runner().run(None, SHORT):
+            cache.store(config_digest(run.host, SHORT), run)
+        return root
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every input ``repro.experiments.tables`` backtests, in order."""
+        seen = []
+        real = tables.forecast_series
+
+        def counting(values, *args, **kwargs):
+            seen.append(values)
+            return real(values, *args, **kwargs)
+
+        monkeypatch.setattr(tables, "forecast_series", counting)
+        return seen
+
+    def test_raw_series_backtested_once_across_tables(self, cache_dir, calls):
+        runner = Runner(cache=cache_dir)
+        for generate in (table2, table3, table5):
+            generate(runner, SHORT)
+        raw = [
+            run.values(method) for run in runner.run(None, SHORT) for method in METHODS
+        ]
+        raw_calls = [v for v in calls if any(v is r for r in raw)]
+        assert len(raw_calls) == 18
+        assert len(calls) == 18 + 18  # plus Table 5's aggregated series
+
+    def test_shared_backtests_render_as_fresh_ones(self, cache_dir):
+        runner = Runner(cache=cache_dir)
+        shared = [generate(runner, SHORT) for generate in (table2, table3, table5)]
+        fresh = [
+            generate(Runner(cache=cache_dir), SHORT)
+            for generate in (table2, table3, table5)
+        ]
+        assert [t.render() for t in shared] == [t.render() for t in fresh]
+
+    def test_engine_is_part_of_the_key(self, cache_dir, calls):
+        runner = Runner(cache=cache_dir)
+        batch = table3(runner, SHORT, engine="batch")
+        assert len(calls) == 18
+        stream = table3(runner, SHORT, engine="stream")
+        assert len(calls) == 36
+        assert stream.rows == batch.rows
+        for run in runner.run(None, SHORT):
+            for method in METHODS:
+                np.testing.assert_array_equal(
+                    run._backtests[(method, "stream")], run._backtests[(method, "batch")]
+                )
+
+    def test_cached_forecasts_are_read_only(self, cache_dir):
+        runner = Runner(cache=cache_dir)
+        table2(runner, SHORT)
+        for run in runner.run(None, SHORT):
+            assert sorted(run._backtests) == [(m, "auto") for m in sorted(METHODS)]
+            for forecasts in run._backtests.values():
+                assert not forecasts.flags.writeable
+                with pytest.raises(ValueError):
+                    forecasts[1] = 0.0
+
+    def test_memo_is_not_part_of_equality_or_encoding(self, cache_dir):
+        runner = Runner(cache=cache_dir)
+        table3(runner, SHORT)
+        run = runner.run_one("thing1", SHORT)
+        assert run._backtests
+        decoded = Runner(cache=cache_dir).run_one("thing1", SHORT)
+        assert not decoded._backtests
+        assert run == dataclasses.replace(run)  # an empty memo, same fields
+        filled, empty = _encode(run), _encode(decoded)
+        assert sorted(filled) == sorted(empty)
+        for name in filled:
+            np.testing.assert_array_equal(filled[name], empty[name])

@@ -21,16 +21,20 @@ pytestmark = pytest.mark.skipif(
 )
 
 
-def test_src_tree_is_lint_clean():
-    result = lint_paths([SRC])
-    report = "\n".join(finding.render() for finding in result.findings)
-    assert result.ok, f"lint regressions in src/repro:\n{report}"
-    assert result.files_checked > 50  # the walk really covered the tree
+@pytest.fixture(scope="module")
+def tree_result():
+    """One full lint of the tree, shared by every test that reads it."""
+    return lint_paths([SRC])
 
 
-def test_all_domain_rules_ran():
-    result = lint_paths([SRC])
-    assert set(result.rules_run) >= {
+def test_src_tree_is_lint_clean(tree_result):
+    report = "\n".join(finding.render() for finding in tree_result.findings)
+    assert tree_result.ok, f"lint regressions in src/repro:\n{report}"
+    assert tree_result.files_checked > 50  # the walk really covered the tree
+
+
+def test_all_domain_rules_ran(tree_result):
+    assert set(tree_result.rules_run) >= {
         "DET001",
         "UNIT001",
         "PROTO001",
@@ -54,13 +58,12 @@ def test_service_layer_clean_under_race_detector():
     assert result.files_checked > 10
 
 
-def test_no_stale_suppressions_in_tree():
+def test_no_stale_suppressions_in_tree(tree_result):
     """Every suppression in the tree silences a real finding (LINT001)."""
-    result = lint_paths([SRC])
-    stale = [f for f in result.findings if f.rule_id == "LINT001"]
+    stale = [f for f in tree_result.findings if f.rule_id == "LINT001"]
     assert not stale, "\n".join(f.render() for f in stale)
     # The tree's deliberate suppressions are all exercised.
-    assert {f.rule_id for f in result.suppressed} == {
+    assert {f.rule_id for f in tree_result.suppressed} == {
         "DET001",
         "EXC001",
         "THRD001",
